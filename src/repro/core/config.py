@@ -68,7 +68,6 @@ class DownsamplingConfig:
     name: str
     ratio: float = 0.5
     mode: str = "BtS"  # "BtS" | "StB"
-    score_parallelism: int = 8
 
 
 @dataclass

@@ -158,7 +158,6 @@ class Pipeline:
                     weights,
                     batch_size=tr.batch_size,
                     bytes_parser=bytes_parser,
-                    score_parallelism=ds_cfg.score_parallelism,
                     storage_threads=tr.storage_threads,
                 )
             else:

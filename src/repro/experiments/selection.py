@@ -45,7 +45,6 @@ def _pipeline_config(name: str, *, n_classes: int, dim: int, epochs: int,
             "name": "GradNormDownsampler",
             "ratio": 0.5,
             "mode": "StB",
-            "score_parallelism": 8,
         }
     elif name != "full":
         raise ValueError(f"unknown pipeline {name!r}")

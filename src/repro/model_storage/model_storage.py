@@ -43,6 +43,7 @@ class ModelStorage:
         self.incremental = WeightsDifferenceStrategy()
         self._catalog: dict[int, StoredModelInfo] = {}
         self._order: list[int] = []  # store order defines the delta chain
+        self._head: State | None = None  # decoded newest model: the next delta's base
         self._lock = threading.Lock()
         os.makedirs(root, exist_ok=True)
 
@@ -51,13 +52,12 @@ class ModelStorage:
         with self._lock:
             if trigger_id in self._catalog:
                 raise ValueError(f"model for trigger {trigger_id} already stored")
-            pos = len(self._order)
-            prev_id = self._order[-1] if self._order else None
-            use_full = pos % self.full_every == 0 or prev_id is None
-            if not use_full:
-                base = self._load_locked(prev_id)
-                if set(base) != set(state):
-                    use_full = True  # architecture changed; delta impossible
+            base = self._head
+            use_full = (
+                len(self._order) % self.full_every == 0
+                or base is None
+                or set(base) != set(state)  # architecture changed; delta impossible
+            )
             if use_full:
                 data, kind = self.full.serialize(state), "full"
             else:
@@ -68,16 +68,27 @@ class ModelStorage:
             info = StoredModelInfo(trigger_id, kind, path, len(data))
             self._catalog[trigger_id] = info
             self._order.append(trigger_id)
+            self._head = self._decode(info, data, base)
             return info
 
-    def _load_locked(self, trigger_id: int) -> State:
-        info = self._catalog[trigger_id]
-        with open(info.path, "rb") as f:
-            data = f.read()
+    def _decode(self, info: StoredModelInfo, data: bytes, base: State | None) -> State:
         if info.kind == "full":
             return self.full.deserialize(data)
-        prev = self._order[self._order.index(trigger_id) - 1]
-        return self.incremental.deserialize(data, self._load_locked(prev))
+        return self.incremental.deserialize(data, base)
+
+    def _load_locked(self, trigger_id: int) -> State:
+        """Walk back to the latest full snapshot, then apply the deltas
+        forward (iterative: delta chains may be arbitrarily long)."""
+        end = self._order.index(trigger_id)
+        start = end
+        while self._catalog[self._order[start]].kind != "full":
+            start -= 1
+        state = None
+        for tid in self._order[start : end + 1]:
+            info = self._catalog[tid]
+            with open(info.path, "rb") as f:
+                state = self._decode(info, f.read(), state)
+        return state
 
     def load(self, trigger_id: int) -> State:
         """Reconstruct a stored model's parameter state."""

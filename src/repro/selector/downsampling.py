@@ -9,8 +9,8 @@ probability proportional to the score, attaching importance weights
 Two execution modes, as in the paper (§4.1.2):
 
 - *sample-then-batch* (StB): score the whole trigger training set first
-  (here: a distributed Spark ``mapInPandas`` stage reading payloads on
-  executors), then train on the downsampled set;
+  (one forward pass in the trainer's process over the set fetched through
+  the storage hot path), then train on the downsampled set;
 - *batch-then-sample* (BtS): score each incoming batch and keep a
   fraction of it.
 
@@ -90,44 +90,25 @@ class UniformDownsampler(Downsampler):
         return np.ones(len(y))
 
 
-def score_keys_spark(
+def score_keys(
     storage: Storage,
     model: Model,
     downsampler: Downsampler,
     bytes_parser,
     keys: np.ndarray,
     *,
-    parallelism: int = 8,
+    storage_threads: int = 1,
 ) -> pd.DataFrame:
-    """Distributed StB scoring pass: (sample_key, score) for every key.
+    """StB scoring pass: (sample_key, score) for every key, in fetch order.
 
-    Builds a Spark stage over the storage metadata (key -> file, idx) and
-    runs the model forward pass inside ``mapInPandas`` on the executors —
-    the reproduction of "the training loop continuously informs the
-    downsampler about the forward pass" at trigger-set scale, expressed
-    as a Spark dataflow stage.
+    The trigger set is fetched once through the storage hot path (so it
+    pays the simulated metadata-DB latency like any training fetch), parsed
+    with the pipeline's ``bytes_parser`` and scored in one forward pass —
+    "the training loop starts with a sampling phase" (§4.1.2).
     """
-    keys = np.asarray(keys, np.int64)
-    if len(keys) == 0:
-        return pd.DataFrame({"sample_key": pd.Series(dtype="int64"), "score": pd.Series(dtype="float64")})
-    meta = storage.get_metadata(keys)
-    meta = meta.assign(path=meta["file_id"].map(storage._files))
-    sdf = storage.spark.createDataFrame(
-        meta[["sample_key", "path", "idx", "label"]]
-    ).repartition(parallelism, "path")
-    wrapper = storage.file_wrapper
-
-    def _score(batches):
-        for pdf in batches:
-            for path, grp in pdf.groupby("path", sort=True):
-                payloads = wrapper.get_samples(path, grp["idx"].to_numpy(np.int64))
-                X = model.stack_batch([bytes_parser(p) for p in payloads])
-                y = grp["label"].to_numpy(np.int64)
-                yield pd.DataFrame(
-                    {
-                        "sample_key": grp["sample_key"].to_numpy(np.int64),
-                        "score": downsampler.scores(model, X, y).astype(np.float64),
-                    }
-                )
-
-    return sdf.mapInPandas(_score, "sample_key long, score double").toPandas()
+    buf = storage.get_samples(np.asarray(keys, np.int64), storage_threads=storage_threads)
+    scores = np.empty(0, np.float64)
+    if len(buf):
+        X = model.stack_batch([bytes_parser(p) for p in buf.payloads])
+        scores = downsampler.scores(model, X, buf.labels).astype(np.float64)
+    return pd.DataFrame({"sample_key": buf.keys, "score": scores})

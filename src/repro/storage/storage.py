@@ -15,9 +15,8 @@ reproducible here.
 
 Two metadata paths, by design (see DESIGN.md):
 
-- ``get_metadata``: a Spark join against the Parquet registry — used by
-  selection/scoring *stages* (and tests), where a dataflow stage is the
-  right shape.
+- ``get_metadata``: a Spark join against the Parquet registry — the
+  stage-shaped query, which the tests hold the hot path's answers to.
 - ``lookup``: the *hot* per-request path. The paper's Postgres point
   lookups cost milliseconds; a Spark job costs hundreds of milliseconds
   of driver-serialized overhead, which would invert every scaling trend
@@ -181,24 +180,11 @@ class Storage:
         self.spark.createDataFrame(batch).coalesce(1).write.mode("append").parquet(
             self.registry_path
         )
-        self._append_files_meta(frames, paths)
         return np.concatenate(all_keys)
 
     def ingest_file(self, path: str, *, timestamp: int = 0) -> np.ndarray:
         """Register a single payload file (convenience wrapper)."""
         return self.ingest_files([path], timestamps=[timestamp])
-
-    def _append_files_meta(self, frames: list[pd.DataFrame], paths: Sequence[str]) -> None:
-        meta = pd.DataFrame(
-            {
-                "file_id": [int(f["file_id"].iloc[0]) for f in frames],
-                "path": list(paths),
-                "n_samples": [len(f) for f in frames],
-            }
-        )
-        self.spark.createDataFrame(meta).coalesce(1).write.mode("append").parquet(
-            os.path.join(self.root, "files_meta")
-        )
 
     # ----------------------------------------------------------- metadata
     def registry_df(self) -> DataFrame:
@@ -210,11 +196,9 @@ class Storage:
         return self._next_key
 
     def get_metadata(self, keys: np.ndarray) -> pd.DataFrame:
-        """key -> (file_id, idx, label) for the given keys, via a Spark join.
-
-        This is the per-request "Postgres query" of the paper: its cost
-        scales with both registry size and the number of requested keys.
-        """
+        """key -> (file_id, idx, label) for the given keys, via a Spark join
+        against the registry (the stage-shaped query; ``lookup`` serves
+        per-request fetches)."""
         if len(keys) == 0:
             return pd.DataFrame(columns=_REGISTRY_SCHEMA).astype("int64")
         want = self.spark.createDataFrame(

@@ -6,8 +6,9 @@ of the data path — the paper's core abstraction claim. Supports:
 
 - weighted SGD steps (selection weights multiply gradients, §3.1),
 - batch-then-sample downsampling inline in the loop,
-- sample-then-batch downsampling via a scoring phase (the distributed
-  Spark stage in ``selector.downsampling``) before training,
+- sample-then-batch downsampling via a scoring phase (one in-process
+  forward pass over the trigger set, ``selector.downsampling``) before
+  training,
 - a simulated accelerator cost per batch (``gpu_step_seconds``): the
   paper does not synchronize CUDA, the GPU works while the next batch is
   fetched — a sleep is the faithful host-side analog of that device time
@@ -21,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.models.base import Model
-from repro.selector.downsampling import Downsampler, score_keys_spark
+# score_keys keeps its former name here: perfbench/layers.py traces this global.
+from repro.selector.downsampling import Downsampler, score_keys as score_keys_spark
 from repro.storage.storage import Storage
 from repro.trainer.online_dataset import Batch, InMemoryDataset
 
@@ -110,15 +112,15 @@ class Trainer:
         batch_size: int,
         bytes_parser,
         transform=None,
-        score_parallelism: int = 8,
         storage_threads: int = 1,
     ) -> TrainResult:
-        """Sample-then-batch: distributed scoring pass over the whole
-        trigger training set, then train on the downsampled subset.
+        """Sample-then-batch: scoring pass over the whole trigger training
+        set, then train on the downsampled subset.
 
-        The scoring runs as a Spark ``mapInPandas`` stage (§4.1.2 StB:
-        "the training loop starts with a sampling phase ... once this
-        state is complete, it generates the downsampled data set").
+        The scoring is one forward pass over the set fetched through the
+        storage hot path (§4.1.2 StB: "the training loop starts with a
+        sampling phase ... once this state is complete, it generates the
+        downsampled data set").
         """
         if self.downsampler is None:
             raise ValueError("train_stb requires a downsampler")
@@ -130,7 +132,7 @@ class Trainer:
             self.downsampler,
             bytes_parser,
             keys,
-            parallelism=score_parallelism,
+            storage_threads=storage_threads,
         )
         # Align scores to key order, then importance-sample the subset.
         scored = scored.set_index("sample_key").loc[keys]

@@ -6,6 +6,9 @@ test mutates state.
 """
 from __future__ import annotations
 
+import contextlib
+import uuid
+
 import numpy as np
 import pytest
 
@@ -59,3 +62,17 @@ def cloc_storage(spark, tmp_path_factory) -> Storage:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(7)
+
+
+@contextlib.contextmanager
+def spark_jobs(spark):
+    """Collect the ids of the Spark jobs the calling thread runs in the block."""
+    sc = spark.sparkContext
+    group = f"test-{uuid.uuid4().hex}"
+    sc.setJobGroup(group, group)
+    jobs: list[int] = []
+    try:
+        yield jobs
+    finally:
+        jobs.extend(sc.statusTracker().getJobIdsForGroup(group))
+        sc.setLocalProperty("spark.jobGroup.id", None)

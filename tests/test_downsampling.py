@@ -8,9 +8,16 @@ from repro.selector.downsampling import (
     GradNormDownsampler,
     LossDownsampler,
     UniformDownsampler,
-    score_keys_spark,
+    score_keys,
 )
-from repro.synth_data import cloc_lite_array, criteo_bytes_parser, criteo_lite_array
+from repro.synth_data import (
+    cloc_bytes_parser,
+    cloc_lite_array,
+    criteo_bytes_parser,
+    criteo_lite_array,
+)
+from repro.trainer import Trainer
+from tests.conftest import CLOC_CLASSES, CLOC_DIM, CLOC_PER_YEAR, CLOC_YEARS_SMALL
 
 
 @pytest.fixture()
@@ -113,27 +120,73 @@ class TestSampling:
             assert name in DOWNSAMPLERS
 
 
-class TestSparkScoring:
-    def test_spark_scores_match_local(self, criteo_storage):
-        """The distributed StB scoring stage must equal in-process scoring."""
-        keys = np.arange(0, 600, 3)
-        model = DlrmLite(seed=1)
-        ds = LossDownsampler(ratio=0.5)
-        scored = score_keys_spark(
-            criteo_storage, model, ds, criteo_bytes_parser, keys, parallelism=4
+def per_file_scores(storage, model, downsampler, bytes_parser, keys):
+    """Reference StB scores, computed as the former Spark stage did: one
+    forward pass per source file over that file's requested samples."""
+    meta = storage.get_metadata(keys)
+    meta = meta.assign(path=meta["file_id"].map(storage._files))
+    out = {}
+    for path, grp in meta.groupby("path", sort=True):
+        payloads = storage.file_wrapper.get_samples(path, grp["idx"].to_numpy(np.int64))
+        X = model.stack_batch([bytes_parser(p) for p in payloads])
+        y = grp["label"].to_numpy(np.int64)
+        scores = downsampler.scores(model, X, y).astype(np.float64)
+        out.update(zip(grp["sample_key"].tolist(), scores))
+    return np.array([out[k] for k in np.asarray(keys).tolist()])
+
+
+def stb_case(name, request):
+    """(storage, model, downsampler, parser, keys in non-sorted order)."""
+    shuffle = np.random.default_rng(3).permutation
+    if name == "cloc-gradnorm":
+        n = CLOC_PER_YEAR * len(CLOC_YEARS_SMALL)
+        return (
+            request.getfixturevalue("cloc_storage"),
+            SoftmaxRegression(dim=CLOC_DIM, n_classes=CLOC_CLASSES, seed=1),
+            GradNormDownsampler(ratio=0.5),
+            cloc_bytes_parser,
+            shuffle(n)[: n // 2 + 7],
         )
+    ds = LossDownsampler(ratio=0.5) if name == "criteo-loss" else GradNormDownsampler(ratio=0.5)
+    return (
+        request.getfixturevalue("criteo_storage"),
+        DlrmLite(seed=1),
+        ds,
+        criteo_bytes_parser,
+        shuffle(np.arange(0, 2400, 3)),
+    )
+
+
+STB_CASES = ["criteo-loss", "criteo-gradnorm", "cloc-gradnorm"]
+
+
+class TestStBScoring:
+    @pytest.mark.parametrize("case", STB_CASES)
+    def test_scores_equal_per_file_scoring(self, case, request):
+        """One batched pass gives exactly the per-file stage's scores."""
+        storage, model, ds, parser, keys = stb_case(case, request)
+        scored = score_keys(storage, model, ds, parser, keys, storage_threads=2)
         assert sorted(scored["sample_key"]) == sorted(keys.tolist())
-        buf = criteo_storage.get_samples(keys)
-        X = model.stack_batch([criteo_bytes_parser(p) for p in buf.payloads])
-        local = ds.scores(model, X, buf.labels)
-        by_key_local = dict(zip(buf.keys.tolist(), local))
-        by_key_spark = dict(zip(scored["sample_key"], scored["score"]))
-        for k in keys.tolist():
-            assert by_key_spark[k] == pytest.approx(by_key_local[k], rel=1e-9)
+        got = scored.set_index("sample_key").loc[keys, "score"].to_numpy()
+        assert np.array_equal(got, per_file_scores(storage, model, ds, parser, keys))
+
+    @pytest.mark.parametrize("case", STB_CASES)
+    def test_train_stb_samples_on_scores_in_key_order(self, case, request, monkeypatch):
+        storage, model, ds, parser, keys = stb_case(case, request)
+        want = per_file_scores(storage, model, ds, parser, keys)
+        seen = []
+        sample = ds.sample
+        monkeypatch.setattr(
+            ds, "sample", lambda scores, **kw: (seen.append(scores), sample(scores, **kw))[1]
+        )
+        Trainer(model, lr=0.1, downsampler=ds, downsampling_mode="StB").train_stb(
+            storage, keys, np.ones(len(keys)), batch_size=64, bytes_parser=parser
+        )
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
 
     def test_empty_keys(self, criteo_storage):
         model = DlrmLite()
-        out = score_keys_spark(
+        out = score_keys(
             criteo_storage, model, LossDownsampler(), criteo_bytes_parser, np.array([])
         )
         assert len(out) == 0

@@ -63,6 +63,19 @@ class TestModelStorage:
             assert np.allclose(back["W"], st["W"])
             assert np.allclose(back["b"], st["b"])
 
+    def test_long_delta_chain_loads(self, tmp_path):
+        # 1,500 deltas on one full snapshot: deeper than Python's recursion limit.
+        ms = ModelStorage(str(tmp_path), full_every=10_000)
+        g = np.random.default_rng(0)
+        state = {"W": g.standard_normal((3, 2)), "b": g.standard_normal(2)}
+        for i in range(1500):
+            state = {k: v + g.standard_normal(v.shape) * 1e-3 for k, v in state.items()}
+            ms.store(i, state)
+        assert ms.info(0).kind == "full" and ms.info(1499).kind == "delta"
+        back = ms.load(1499)
+        for k in state:
+            np.testing.assert_allclose(back[k], state[k], rtol=1e-12, atol=1e-12)
+
     def test_full_every_one_means_all_full(self, tmp_path):
         ms = ModelStorage(str(tmp_path), full_every=1)
         for i in range(3):

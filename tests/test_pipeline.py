@@ -125,7 +125,6 @@ class TestPipelineVariants:
                     "name": "GradNormDownsampler",
                     "ratio": 0.5,
                     "mode": "StB",
-                    "score_parallelism": 2,
                 },
             },
             evaluation=None,

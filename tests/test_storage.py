@@ -10,7 +10,7 @@ from pyspark.sql import functions as F
 from repro.oracle import assert_equivalent
 from repro.storage import BinaryFileWrapper, Storage
 from repro.synth_data import CRITEO_DTYPE, criteo_lite_array, generate_criteo_files
-from tests.conftest import CRITEO_N, CRITEO_PER_FILE
+from tests.conftest import CRITEO_N, CRITEO_PER_FILE, spark_jobs
 
 
 class TestIngest:
@@ -56,6 +56,25 @@ class TestIngest:
         st = Storage(spark, str(tmp_path / "s"), BinaryFileWrapper(CRITEO_DTYPE))
         with pytest.raises(ValueError, match="one timestamp per file"):
             st.ingest_files(paths, timestamps=[1, 2])
+
+    @pytest.fixture()
+    def fresh(self, spark, tmp_path):
+        paths, _ = generate_criteo_files(
+            str(tmp_path / "d"), n_samples=40, samples_per_file=10
+        )
+        st = Storage(spark, str(tmp_path / "s"), BinaryFileWrapper(CRITEO_DTYPE))
+        return st, paths
+
+    def test_ingest_writes_no_files_meta(self, fresh, tmp_path):
+        st, paths = fresh
+        st.ingest_files(paths)
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == ["registry"]
+
+    def test_ingest_runs_one_spark_job(self, spark, fresh):
+        st, paths = fresh
+        with spark_jobs(spark) as jobs:
+            st.ingest_files(paths)
+        assert len(jobs) == 1  # the registry append
 
     def test_incremental_ingest_grows_registry(self, spark, tmp_path):
         paths, days = generate_criteo_files(

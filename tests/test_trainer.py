@@ -8,9 +8,9 @@ from repro.selector.metadata_backend import LocalMetadataBackend
 from repro.selector.presampling import NewDataStrategy
 from repro.selector.selector import Selector
 from repro.selector.trigger_sample_storage import TriggerSampleStorage
-from repro.synth_data import criteo_bytes_parser
+from repro.synth_data import cloc_bytes_parser, criteo_bytes_parser
 from repro.trainer import InMemoryDataset, OnlineDataset, OnlineDatasetConfig, Trainer
-from tests.conftest import CRITEO_N
+from tests.conftest import CLOC_CLASSES, CLOC_DIM, CRITEO_N, spark_jobs
 
 
 @pytest.fixture()
@@ -106,7 +106,6 @@ class TestStBDownsampling:
             weights,
             batch_size=256,
             bytes_parser=criteo_bytes_parser,
-            score_parallelism=4,
         )
         assert res.num_samples == CRITEO_N  # scoring pass covers the whole set
         assert res.num_trained_samples == CRITEO_N // 4
@@ -129,6 +128,23 @@ class TestStBDownsampling:
             bytes_parser=criteo_bytes_parser,
         )
         assert tr.downsampler is ds
+
+    def test_stb_runs_no_spark_job(self, spark, cloc_storage):
+        """StB scoring is an in-process forward pass, not a Spark stage."""
+        keys = np.arange(cloc_storage.num_samples)
+        tr = Trainer(
+            SoftmaxRegression(dim=CLOC_DIM, n_classes=CLOC_CLASSES, seed=0),
+            lr=0.1,
+            downsampler=GradNormDownsampler(ratio=0.5),
+            downsampling_mode="StB",
+        )
+        with spark_jobs(spark) as jobs:
+            res = tr.train_stb(
+                cloc_storage, keys, np.ones(len(keys)), batch_size=32,
+                bytes_parser=cloc_bytes_parser,
+            )
+        assert res.num_samples == len(keys)
+        assert jobs == []
 
 
 class TestInMemoryDataset:
